@@ -21,29 +21,32 @@ import sys
 from typing import List, Optional
 
 from . import PATA, AnalysisConfig, __version__
-from .baselines import all_baselines
-from .corpus import PROFILES_BY_NAME, generate, match_findings
-from .evaluation import (
-    EvaluationHarness,
-    PRIMARY_KINDS,
-    fig11_distribution,
-    render_table,
-    table4_os_info,
-    table5_analysis,
-    table6_sensitivity,
-    table7_generality,
-    table8_comparison,
-)
 from .lang import compile_program
 
+# ``check`` is the command users wait on, so only what it needs is
+# imported here.  Subcommands import ``baselines``, ``corpus``,
+# ``evaluation`` and ``serve`` inside their ``cmd_*`` function.
+
+#: ``eval`` targets: name -> table function of :mod:`repro.evaluation`
 _EVAL_TARGETS = {
-    "table4": table4_os_info,
-    "table5": table5_analysis,
-    "table6": table6_sensitivity,
-    "table7": table7_generality,
-    "table8": table8_comparison,
-    "fig11": fig11_distribution,
+    "table4": "table4_os_info",
+    "table5": "table5_analysis",
+    "table6": "table6_sensitivity",
+    "table7": "table7_generality",
+    "table8": "table8_comparison",
+    "fig11": "fig11_distribution",
 }
+
+
+def _os_name(name: str) -> str:
+    """``--os`` value check, deferred to parse time so that building the
+    parser does not import :mod:`repro.corpus`."""
+    from .corpus import PROFILES_BY_NAME
+
+    if name not in PROFILES_BY_NAME:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(PROFILES_BY_NAME))})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("files", nargs="+", help="mini-C source files")
 
     corpus = sub.add_parser("corpus", help="generate a synthetic OS corpus")
-    corpus.add_argument("--os", choices=sorted(PROFILES_BY_NAME), required=True)
+    corpus.add_argument("--os", type=_os_name, required=True, metavar="OS",
+                        help="OS profile of the evaluation (Table 4)")
     corpus.add_argument("--scale", type=float, default=1.0)
     corpus.add_argument("--out", type=pathlib.Path, default=None,
                         help="write the tree (plus ground_truth.json) here")
@@ -195,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(1 = sequential, 0 = one per CPU)")
 
     compare = sub.add_parser("compare", help="PATA vs the seven baselines on one OS")
-    compare.add_argument("--os", choices=sorted(PROFILES_BY_NAME), default="zephyr")
+    compare.add_argument("--os", type=_os_name, default="zephyr", metavar="OS",
+                         help="OS profile of the evaluation (default: zephyr)")
     compare.add_argument("--scale", type=float, default=1.0)
     return parser
 
@@ -498,6 +503,8 @@ def cmd_lint(args) -> int:
 
 def cmd_corpus(args) -> int:
     """``corpus``: generate a synthetic OS tree (optionally to disk)."""
+    from .corpus import PROFILES_BY_NAME, generate
+
     profile = PROFILES_BY_NAME[args.os].scaled(args.scale)
     corpus = generate(profile)
     print(f"{profile.name} {profile.version_label}: {len(corpus.files)} files, "
@@ -531,17 +538,18 @@ def cmd_corpus(args) -> int:
 
 def cmd_eval(args) -> int:
     """``eval``: regenerate paper tables/figures (or a markdown report)."""
-    harness = EvaluationHarness(scale=args.scale, config=AnalysisConfig(workers=args.workers))
-    if args.markdown is not None and args.target == "all":
-        from .evaluation import generate_markdown_report
+    from . import evaluation
 
-        report = generate_markdown_report(harness)
+    harness = evaluation.EvaluationHarness(scale=args.scale,
+                                           config=AnalysisConfig(workers=args.workers))
+    if args.markdown is not None and args.target == "all":
+        report = evaluation.generate_markdown_report(harness)
         args.markdown.write_text(report)
         print(f"wrote {args.markdown}")
         return 0
     targets = sorted(_EVAL_TARGETS) if args.target == "all" else [args.target]
     for name in targets:
-        _, text = _EVAL_TARGETS[name](harness)
+        _, text = getattr(evaluation, _EVAL_TARGETS[name])(harness)
         print(text)
         print()
     return 0
@@ -549,6 +557,10 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     """``compare``: one Table-8 row — PATA vs the baselines on one OS."""
+    from .baselines import all_baselines
+    from .corpus import PROFILES_BY_NAME, generate, match_findings
+    from .evaluation import PRIMARY_KINDS, render_table
+
     profile = PROFILES_BY_NAME[args.os].scaled(args.scale)
     corpus = generate(profile)
     compiled = compile_program(corpus.compiled_sources())

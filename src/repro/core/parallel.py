@@ -41,11 +41,9 @@ in-process path — never a crash.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -70,6 +68,8 @@ _TOUCH_ENV = "REPRO_PARALLEL_TEST_TOUCH_DIR"
 
 def _fork_available() -> bool:
     """Whether workers can inherit the parent's memory (Linux/BSD fork)."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -417,6 +417,11 @@ def run_parallel(
             partition=partition,
             flow_facts=flow_facts,
         )
+    # Imported here: a sequential run never needs a pool, and these two
+    # are a tenth of a cold CLI import.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     batch_size = config.resolved_batch_size(len(entry_list), workers)
     batches = _make_batches(entry_list, batch_size)
     outcomes: Dict[str, EntryOutcome] = {}

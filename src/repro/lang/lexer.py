@@ -4,12 +4,15 @@ Mini-C covers the constructs PATA's evaluation exercises: structs with
 designated initializers (module-interface registration), pointers, field
 accesses, arrays, control flow including ``goto``, and the kernel-ish
 allocation/locking APIs (recognized later, at lowering).
+
+The whole lexer is one compiled master regex driven by ``finditer``; see
+:data:`_MASTER` for why its alternatives come in the order they do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import Iterator, List, NamedTuple
 
 from ..errors import LexError
 
@@ -30,9 +33,55 @@ PUNCT = [
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
 ]
 
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", "r": "\r"}
 
-@dataclass(frozen=True)
-class Token:
+# The master regex: optional blanks, then one alternative per token
+# class.  The alternatives are tried in this order at each offset:
+#
+# * ``word`` first: identifiers and keywords are the commonest tokens.
+# * ``skip`` (comments, ``#`` lines with ``\``-continuations) before
+#   ``punct``, so ``//`` and ``/*`` open comments instead of lexing as
+#   ``/``.  An unterminated ``/*`` fails ``skip``, and ``punct`` refuses
+#   a ``/`` before ``*``, so it reaches ``error``.
+# * ``punct`` longest first (maximal munch); single characters last, as
+#   one character class.
+# * ``num`` is ASCII only.  A ``0x`` with no hex digit is not a number
+#   and reaches ``error``.
+# * ``uword``: an identifier that starts with a non-ASCII letter.  Its
+#   first character is checked in Python, which keeps ``word`` a plain
+#   ASCII class on the hot path.
+# * ``error`` matches any one non-blank character, so every offset is
+#   covered.  Trailing blanks end in ``skip``'s ``\Z``; were they left
+#   unmatched, ``finditer`` would retry the blank prefix from each of
+#   them, which is quadratic.
+#
+# Blanks are a prefix of every match rather than matches of their own,
+# which halves the number of matches.  The loop dispatches on
+# ``lastindex``, the number of the group that matched, which is cheaper
+# than comparing ``lastgroup`` names.
+_GROUPS = (
+    ("word", r"[A-Za-z_]\w*"),
+    ("newline", r"\n"),
+    ("skip", r"//[^\n]*|/\*.*?\*/|\#(?:\\\n|[^\n])*|\Z"),
+    ("punct", "|".join(re.escape(p) for p in PUNCT if len(p) > 1)
+     + r"|/(?!\*)|[" + re.escape("".join(p for p in PUNCT if len(p) == 1 and p != "/")) + "]"),
+    ("num", r"0[xX][0-9a-fA-F]+[uUlL]*|(?!0[xX])[0-9]+[uUlL]*"),
+    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+    ("char", r"'(?:\\.|[^\\])'"),
+    ("uword", r"[^\x00-\x7f]\w*"),
+    ("error", r"[^ \t\r]"),
+)
+_MASTER = re.compile(
+    r"[ \t\r]*(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _GROUPS) + ")",
+    re.DOTALL,
+)
+_WORD, _NEWLINE, _SKIP, _PUNCT, _NUM, _STRING, _CHAR, _UWORD, _ERROR = range(1, len(_GROUPS) + 1)
+
+#: in a string literal a backslash keeps the character after it as is
+_STRING_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+class Token(NamedTuple):
     kind: str  # 'id', 'num', 'char', 'string', 'kw', 'punct', 'eof'
     text: str
     line: int
@@ -42,136 +91,65 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
+_new_token = tuple.__new__
+
+
 class Lexer:
-    """Streaming tokenizer over one mini-C source buffer."""
+    """Tokenizer over one mini-C source buffer."""
 
     def __init__(self, source: str, filename: str = "<input>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.filename, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor lines are ignored (the corpus does not rely on
-                # macros; kernel-ish APIs are plain functions in mini-C).
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    if self._peek() == "\\" and self._peek(1) == "\n":
-                        self._advance()
-                    self._advance()
-            else:
-                return
 
     def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                yield Token("eof", "", self.line, self.column)
-                return
-            start_line, start_col = self.line, self.column
-            ch = self._peek()
-            if ch.isalpha() or ch == "_":
-                text = self._lex_word()
-                kind = "kw" if text in KEYWORDS else "id"
-                yield Token(kind, text, start_line, start_col)
-            elif ch.isdigit():
-                yield Token("num", self._lex_number(), start_line, start_col)
-            elif ch == '"':
-                yield Token("string", self._lex_string(), start_line, start_col)
-            elif ch == "'":
-                yield Token("char", self._lex_char(), start_line, start_col)
+        """Yield the buffer's tokens in order, then one ``eof`` token."""
+        source = self.source
+        keywords = KEYWORDS
+        line, line_start = 1, 0
+        for match in _MASTER.finditer(source):
+            group = match.lastindex
+            if group == _WORD:
+                text = match.group(group)
+                yield _new_token(Token, ("kw" if text in keywords else "id", text, line,
+                                         match.start(group) - line_start + 1))
+            elif group == _PUNCT:
+                yield _new_token(Token, ("punct", match.group(group), line, match.start(group) - line_start + 1))
+            elif group == _NEWLINE:
+                line += 1
+                line_start = match.end()
+            elif group == _NUM:
+                yield _new_token(Token, ("num", match.group(group), line, match.start(group) - line_start + 1))
             else:
-                for punct in PUNCT:
-                    if self.source.startswith(punct, self.pos):
-                        self._advance(len(punct))
-                        yield Token("punct", punct, start_line, start_col)
-                        break
-                else:
-                    raise self._error(f"unexpected character {ch!r}")
+                start = match.start(group)
+                text = match.group(group)
+                column = start - line_start + 1
+                if group == _STRING:
+                    yield _new_token(Token, ("string", _STRING_ESCAPE.sub(r"\1", text[1:-1]), line, column))
+                elif group == _CHAR:
+                    body = text[1:-1]
+                    value = _CHAR_ESCAPES.get(body[1], body[1]) if body[0] == "\\" else body
+                    yield _new_token(Token, ("char", value, line, column))
+                elif group == _UWORD and text[0].isalpha():
+                    yield _new_token(Token, ("id", text, line, column))
+                elif group != _SKIP:
+                    raise LexError(_error_message(source, start), self.filename, line, column)
+                if "\n" in text:  # block comment, continued # line, escaped newline
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+        yield _new_token(Token, ("eof", "", line, len(source) - line_start + 1))
 
-    def _lex_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        return self.source[start : self.pos]
 
-    def _lex_number(self) -> str:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-        # Integer suffixes (UL, LL, u, ...) are consumed and ignored.
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        return self.source[start : self.pos]
-
-    def _lex_string(self) -> str:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                return "".join(chars)
-            if ch == "\\":
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_char(self) -> str:
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            self._advance()
-            escapes = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", "r": "\r"}
-            ch = escapes.get(self._peek(), self._peek())
-            self._advance()
-        else:
-            ch = self._peek()
-            self._advance()
-        if self._peek() != "'":
-            raise self._error("unterminated character literal")
-        self._advance()
-        return ch
+def _error_message(source: str, start: int) -> str:
+    ch = source[start]
+    if ch == '"':
+        return "unterminated string literal"
+    if ch == "'":
+        return "unterminated character literal"
+    if source.startswith("/*", start):
+        return "unterminated block comment"
+    if ch == "0":
+        return "hex literal without digits"
+    return f"unexpected character {ch!r}"
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import SemaError
+from ..errors import ParseError, SemaError
 from .. import ir
 from ..ir import (
     Const,
@@ -93,11 +93,25 @@ class _Local:
         self.ctype = ctype  # the declared (C-level) type
 
 
+class _LocTable(dict):
+    """line -> :class:`SourceLoc` of one file.  Locations are frozen, so
+    every instruction on a line shares one object."""
+
+    def __init__(self, filename: str):
+        super().__init__()
+        self.filename = filename
+
+    def __missing__(self, line: int) -> SourceLoc:
+        loc = self[line] = SourceLoc(self.filename, line)
+        return loc
+
+
 class UnitLowerer:
     """Lowers one translation unit into an :class:`~repro.ir.Module`."""
 
     def __init__(self, unit: ast.TranslationUnit):
         self.unit = unit
+        self.locs = _LocTable(unit.filename)
         self.module = Module(unit.filename)
         self.module.source_lines = unit.source_lines
         self.typedefs: Dict[str, ast.TypeRef] = {}
@@ -216,7 +230,7 @@ class UnitLowerer:
                 if isinstance(expr, ast.Name) and self._is_function_name(expr.ident):
                     self.module.add_registration(
                         ir.InterfaceRegistration(
-                            d.name, ctype, field_name, expr.ident, SourceLoc(self.unit.filename, field_init.line)
+                            d.name, ctype, field_name, expr.ident, self.locs[field_init.line]
                         )
                     )
 
@@ -246,14 +260,12 @@ class FunctionLowerer:
         self.labels: Dict[str, ir.BasicBlock] = {}
         self.loop_stack: List[_LoopTargets] = []
         self.switch_breaks: List[ir.BasicBlock] = []
-        self.address_taken: Set[str] = set()
+        self.locs = unit.locs
+        self.address_taken = fdef.address_taken
         self._sc_ids = itertools.count(1)
         #: per-source-name declaration counter: a shadowing declaration in
         #: a nested scope must be a distinct IR variable
         self._decl_counts: Dict[str, int] = {}
-
-    def _loc(self, node: ast.Node) -> SourceLoc:
-        return SourceLoc(self.unit.unit.filename, node.line)
 
     def error(self, message: str, node: ast.Node) -> SemaError:
         return SemaError(message, self.unit.unit.filename, node.line)
@@ -277,10 +289,9 @@ class FunctionLowerer:
     # -- entry ------------------------------------------------------------------
 
     def lower(self) -> None:
-        self._collect_address_taken(self.fdef.body)
         entry = self.builder.new_block("entry")
         self.builder.position_at(entry)
-        self.builder.set_loc(SourceLoc(self.unit.unit.filename, self.fdef.line))
+        self.builder.set_loc(self.locs[self.fdef.line])
         for param, pdecl in zip(self.func.params, self.fdef.params):
             ctype = self.unit.resolve_type(pdecl.type)
             if isinstance(ctype, ir.ArrayType):
@@ -302,28 +313,6 @@ class FunctionLowerer:
                 else:
                     self.builder.ret(Const(0, self.func.return_type))
 
-    def _collect_address_taken(self, node) -> None:
-        """Pre-pass: find ``&name`` so those locals get memory slots."""
-        if node is None:
-            return
-        if isinstance(node, ast.Unary) and node.op == "&" and isinstance(node.operand, ast.Name):
-            self.address_taken.add(node.operand.ident)
-        for value in vars(node).values():
-            if isinstance(value, ast.Node):
-                self._collect_address_taken(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.Node):
-                        self._collect_address_taken(item)
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, ast.Node):
-                                self._collect_address_taken(sub)
-                            elif isinstance(sub, list):
-                                for s2 in sub:
-                                    if isinstance(s2, ast.Node):
-                                        self._collect_address_taken(s2)
-
     # -- statements ---------------------------------------------------------------
 
     def _lower_block(self, block: ast.Block) -> None:
@@ -341,7 +330,7 @@ class FunctionLowerer:
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
         if self.builder.is_terminated and not isinstance(stmt, ast.LabelStmt):
             self._start_dead_block()
-        self.builder.set_loc(self._loc(stmt))
+        self.builder.set_loc(self.locs[stmt.line])
         if isinstance(stmt, ast.Block):
             self._lower_block(stmt)
         elif isinstance(stmt, ast.DeclStmt):
@@ -531,7 +520,7 @@ class FunctionLowerer:
     # -- conditions -----------------------------------------------------------------
 
     def lower_condition(self, expr: ast.Expr, true_bb: ir.BasicBlock, false_bb: ir.BasicBlock) -> None:
-        self.builder.set_loc(self._loc(expr))
+        self.builder.set_loc(self.locs[expr.line])
         if isinstance(expr, ast.Binary) and expr.op == "&&":
             mid = self.builder.new_block("land")
             self.lower_condition(expr.lhs, mid, false_bb)
@@ -573,7 +562,9 @@ class FunctionLowerer:
     # -- expressions -------------------------------------------------------------------
 
     def lower_expr(self, expr: ast.Expr) -> ir.Value:
-        self.builder.set_loc(self._loc(expr))
+        self.builder.set_loc(self.locs[expr.line])
+        if isinstance(expr, ast.Name):
+            return self._lower_name(expr)
         if isinstance(expr, ast.IntLit):
             return Const(expr.value)
         if isinstance(expr, ast.CharLit):
@@ -582,8 +573,6 @@ class FunctionLowerer:
             return Const(next(_string_ids), PointerType(IntType(8)))
         if isinstance(expr, ast.NullLit):
             return Const(0, ir.VOID_PTR)
-        if isinstance(expr, ast.Name):
-            return self._lower_name(expr)
         if isinstance(expr, ast.SizeOf):
             if expr.target_type is not None:
                 return Const(UnitLowerer.sizeof(self.unit.resolve_type(expr.target_type)))
@@ -835,7 +824,7 @@ class FunctionLowerer:
     # -- lvalue addresses ------------------------------------------------------
 
     def lower_addr(self, expr: ast.Expr) -> Var:
-        self.builder.set_loc(self._loc(expr))
+        self.builder.set_loc(self.locs[expr.line])
         if isinstance(expr, ast.Name):
             local = self._lookup(expr.ident)
             if local is not None:
@@ -945,5 +934,12 @@ def lower_unit(unit: ast.TranslationUnit) -> Module:
 
 
 def compile_source(source: str, filename: str = "<input>") -> Module:
-    """Parse + lower mini-C source into an IR module (the Clang stand-in)."""
-    return lower_unit(parse(source, filename))
+    """Parse + lower mini-C source into an IR module (the Clang stand-in).
+
+    Any input either compiles or raises a :class:`~repro.errors.ReproError`;
+    nesting deeper than the recursive-descent parser's stack allows is a
+    :class:`~repro.errors.ParseError` too."""
+    try:
+        return lower_unit(parse(source, filename))
+    except RecursionError:
+        raise ParseError("nesting too deep", filename) from None

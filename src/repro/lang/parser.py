@@ -19,6 +19,8 @@ BASE_TYPE_KEYWORDS = {
 }
 QUALIFIERS = {"const", "volatile"}
 STORAGE = {"static", "extern", "inline"}
+#: keywords that open a type specifier
+_TYPE_START_KEYWORDS = BASE_TYPE_KEYWORDS | QUALIFIERS | {"struct", "union", "enum"}
 
 # Binary operator precedence (higher binds tighter).
 _BINARY_PRECEDENCE = {
@@ -35,56 +37,71 @@ _BINARY_PRECEDENCE = {
 }
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+_PREFIX_OPS = {"-", "~", "!", "*", "&", "++", "--"}
 
 
 class Parser:
     """Recursive-descent parser; one instance per translation unit."""
 
     def __init__(self, source: str, filename: str = "<input>"):
-        self.tokens: List[Token] = tokenize(source, filename)
+        tokens: List[Token] = tokenize(source, filename)
+        # Two extra EOFs: lookahead goes at most two tokens past the
+        # cursor, so indexing never needs a bounds check.
+        self.tokens = tokens + tokens[-1:] * 2
         self.filename = filename
         self.pos = 0
         self.typedefs: Set[str] = set()
+        #: ``&name`` operands of the function body being parsed (outside
+        #: any body, a set nobody reads)
+        self.address_taken: Set[str] = set()
         self.source_lines = source.count("\n") + 1
 
     # -- token helpers ------------------------------------------------------
+    #
+    # The cursor ``pos`` indexes ``tokens`` and never moves past the first
+    # EOF.  The hot paths below read ``self.tokens[self.pos]`` directly
+    # rather than through these helpers.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def _at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self._at(kind, text):
-            return self._next()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            if kind != "eof":
+                self.pos += 1
+            return tok
         return None
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if not self._at(kind, text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", self.filename, tok.line, tok.column)
-        return self._next()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            if kind != "eof":
+                self.pos += 1
+            return tok
+        want = text or kind
+        raise ParseError(f"expected {want!r}, found {tok.text!r}", self.filename, tok.line, tok.column)
 
     def _error(self, message: str) -> ParseError:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return ParseError(message, self.filename, tok.line, tok.column)
 
     # -- type detection ------------------------------------------------------
 
     def _starts_type(self, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        if tok.kind == "kw" and (tok.text in BASE_TYPE_KEYWORDS or tok.text in QUALIFIERS or tok.text in ("struct", "union", "enum")):
-            return True
+        tok = self.tokens[self.pos + offset]
+        if tok.kind == "kw":
+            return tok.text in _TYPE_START_KEYWORDS
         return tok.kind == "id" and tok.text in self.typedefs
 
     # -- entry point ----------------------------------------------------------
@@ -274,9 +291,12 @@ class Parser:
                         break
         self._expect("punct", ")")
         body: Optional[ast.Block] = None
+        outer, self.address_taken = self.address_taken, set()
         if not self._accept("punct", ";"):
             body = self._parse_block()
-        return ast.FunctionDef(line, decl.name, decl.type, params, body, is_static, variadic)
+        address_taken, self.address_taken = self.address_taken, outer
+        return ast.FunctionDef(line, decl.name, decl.type, params, body, is_static, variadic,
+                               address_taken)
 
     def _parse_global_rest(self, first: ast.Declarator, is_static: bool, line: int) -> ast.Node:
         decls = [first]
@@ -321,39 +341,45 @@ class Parser:
         return ast.Block(tok.line, statements)
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
-        if self._at("punct", "{"):
-            return self._parse_block()
-        if self._at("punct", ";"):
-            self._next()
-            return ast.EmptyStmt(tok.line)
-        if self._at("kw", "if"):
-            return self._parse_if()
-        if self._at("kw", "while"):
-            return self._parse_while()
-        if self._at("kw", "do"):
-            return self._parse_do_while()
-        if self._at("kw", "for"):
-            return self._parse_for()
-        if self._at("kw", "switch"):
-            return self._parse_switch()
-        if self._accept("kw", "return"):
-            value = None if self._at("punct", ";") else self._parse_expression()
-            self._expect("punct", ";")
-            return ast.ReturnStmt(tok.line, value)
-        if self._accept("kw", "break"):
-            self._expect("punct", ";")
-            return ast.BreakStmt(tok.line)
-        if self._accept("kw", "continue"):
-            self._expect("punct", ";")
-            return ast.ContinueStmt(tok.line)
-        if self._accept("kw", "goto"):
-            label = self._expect("id").text
-            self._expect("punct", ";")
-            return ast.GotoStmt(tok.line, label)
-        if tok.kind == "id" and self._peek(1).text == ":" and self._peek(2).text != ":":
-            self._next()
-            self._next()
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind == "punct":
+            if text == "{":
+                return self._parse_block()
+            if text == ";":
+                self.pos += 1
+                return ast.EmptyStmt(tok.line)
+        elif kind == "kw":
+            if text == "if":
+                return self._parse_if()
+            if text == "return":
+                self.pos += 1
+                value = None if self._at("punct", ";") else self._parse_expression()
+                self._expect("punct", ";")
+                return ast.ReturnStmt(tok.line, value)
+            if text == "while":
+                return self._parse_while()
+            if text == "do":
+                return self._parse_do_while()
+            if text == "for":
+                return self._parse_for()
+            if text == "switch":
+                return self._parse_switch()
+            if text == "break":
+                self.pos += 1
+                self._expect("punct", ";")
+                return ast.BreakStmt(tok.line)
+            if text == "continue":
+                self.pos += 1
+                self._expect("punct", ";")
+                return ast.ContinueStmt(tok.line)
+            if text == "goto":
+                self.pos += 1
+                label = self._expect("id").text
+                self._expect("punct", ";")
+                return ast.GotoStmt(tok.line, label)
+        elif kind == "id" and self.tokens[self.pos + 1].text == ":" and self.tokens[self.pos + 2].text != ":":
+            self.pos += 2
             inner = None
             if not self._at("punct", "}"):
                 inner = self._parse_statement()
@@ -465,9 +491,9 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         lhs = self._parse_ternary()
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
-            self._next()
+            self.pos += 1
             rhs = self._parse_assignment()
             op = tok.text[:-1] if tok.text != "=" else ""
             return ast.Assign(tok.line, lhs, rhs, op)
@@ -485,24 +511,27 @@ class Parser:
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             prec = _BINARY_PRECEDENCE.get(tok.text) if tok.kind == "punct" else None
             if prec is None or prec < min_prec:
                 return lhs
-            self._next()
+            self.pos += 1
             rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(tok.line, tok.text, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text in ("-", "~", "!", "*", "&"):
-            self._next()
-            return ast.Unary(tok.line, tok.text, self._parse_unary())
-        if tok.kind == "punct" and tok.text in ("++", "--"):
-            self._next()
-            return ast.Unary(tok.line, tok.text, self._parse_unary())
-        if tok.kind == "kw" and tok.text == "sizeof":
-            self._next()
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind == "id":
+            return self._parse_postfix()
+        if kind == "punct" and text in _PREFIX_OPS:
+            self.pos += 1
+            operand = self._parse_unary()
+            if text == "&" and type(operand) is ast.Name:
+                self.address_taken.add(operand.ident)
+            return ast.Unary(tok.line, text, operand)
+        if kind == "kw" and text == "sizeof":
+            self.pos += 1
             if self._at("punct", "(") and self._starts_type(1):
                 self._next()
                 ty = self._parse_type_spec()
@@ -512,8 +541,8 @@ class Parser:
                 self._expect("punct", ")")
                 return ast.SizeOf(tok.line, ty.with_pointers(depth), None)
             return ast.SizeOf(tok.line, None, self._parse_unary())
-        if self._at("punct", "(") and self._starts_type(1):
-            self._next()
+        if text == "(" and kind == "punct" and self._starts_type(1):
+            self.pos += 1
             ty = self._parse_type_spec()
             depth = 0
             while self._accept("punct", "*"):
@@ -524,9 +553,14 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if self._accept("punct", "("):
+            tok = tokens[self.pos]
+            if tok.kind != "punct":
+                return expr
+            text = tok.text
+            if text == "(":
+                self.pos += 1
                 args: List[ast.Expr] = []
                 if not self._at("punct", ")"):
                     while True:
@@ -535,36 +569,37 @@ class Parser:
                             break
                 self._expect("punct", ")")
                 expr = ast.CallExpr(tok.line, expr, args)
-            elif self._accept("punct", "["):
+            elif text == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect("punct", "]")
                 expr = ast.IndexExpr(tok.line, expr, index)
-            elif self._accept("punct", "."):
-                expr = ast.Member(tok.line, expr, self._expect("id").text, False)
-            elif self._accept("punct", "->"):
-                expr = ast.Member(tok.line, expr, self._expect("id").text, True)
-            elif tok.kind == "punct" and tok.text in ("++", "--"):
-                self._next()
-                expr = ast.Unary(tok.line, "p" + tok.text, expr)
+            elif text == "->" or text == ".":
+                self.pos += 1
+                expr = ast.Member(tok.line, expr, self._expect("id").text, text == "->")
+            elif text == "++" or text == "--":
+                self.pos += 1
+                expr = ast.Unary(tok.line, "p" + text, expr)
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind == "num":
-            self._next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "id":
+            self.pos += 1
+            return ast.Name(tok.line, tok.text)
+        if kind == "num":
+            self.pos += 1
             return ast.IntLit(tok.line, parse_int_literal(tok.text))
-        if tok.kind == "char":
-            self._next()
+        if kind == "char":
+            self.pos += 1
             return ast.CharLit(tok.line, tok.text)
-        if tok.kind == "string":
-            self._next()
+        if kind == "string":
+            self.pos += 1
             return ast.StrLit(tok.line, tok.text)
         if self._accept("kw", "NULL"):
             return ast.NullLit(tok.line)
-        if tok.kind == "id":
-            self._next()
-            return ast.Name(tok.line, tok.text)
         if self._accept("punct", "("):
             expr = self._parse_expression()
             self._expect("punct", ")")

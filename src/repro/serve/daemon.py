@@ -79,7 +79,12 @@ class _Connection:
             pass  # client went away; its response has nowhere to go
 
     def close(self) -> None:
-        for closer in (self.rfile.close, self.sock.close):
+        # shutdown() first, as in _close_listener: this connection's thread
+        # may be blocked in rfile.readline(), and closing the buffered
+        # reader waits on the lock readline holds until the client hangs
+        # up.  shutdown() makes that readline return EOF at once.
+        for closer in (lambda: self.sock.shutdown(socket.SHUT_RDWR),
+                       self.rfile.close, self.sock.close):
             try:
                 closer()
             except OSError:

@@ -229,3 +229,16 @@ def test_multi_declarator_global_flattened():
 def test_source_lines_recorded():
     unit = parse("int a;\nint b;\n")
     assert unit.source_lines >= 2
+
+
+def test_address_taken_is_recorded_per_function_body():
+    source = (
+        "int *gx = &x;\n"
+        "int f(void) { int x; return x; }\n"
+        "int *gy = &y;\n"
+        "int g(int y) { int *p = &(y); return *p + *&y; }\n"
+        "int h(int z);\n"
+    )
+    assert only_func(source, "f").address_taken == set()
+    assert only_func(source, "g").address_taken == {"y"}
+    assert only_func(source, "h").address_taken == set()

@@ -477,6 +477,34 @@ class TestDaemon:
                 probe.close()
         server.close()
 
+    def test_shutdown_returns_with_idle_client_connected(self, tmp_path, buggy_file):
+        """An acknowledged ``shutdown`` must not wait for idle clients to
+        hang up: ``serve_forever`` and ``close`` return within 2 s while
+        another connection sits open with its thread blocked reading."""
+        server = start_server(tmp_path, [buggy_file])
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        idle.connect(server.socket_path)
+        idle_rfile = idle.makefile("rb")
+        finished = threading.Event()
+
+        def serve():
+            server.serve_forever()
+            server.close()
+            finished.set()
+
+        try:
+            # One answered request proves the idle connection's thread is
+            # running; it then blocks reading the next line.
+            idle.sendall(encode({"op": "status"}))
+            assert decode(idle_rfile.readline())["ok"]
+            assert submit(server, {"op": "shutdown"})["op"] == "shutdown"
+            threading.Thread(target=serve, daemon=True).start()
+            assert finished.wait(2.0), "daemon still waiting on an idle client"
+        finally:
+            idle_rfile.close()
+            idle.close()
+            finished.wait(10.0)
+
     def test_sigterm_path_drains(self, tmp_path, buggy_file):
         """``request_shutdown`` is the SIGTERM handler's body — the
         serve_forever loop must unwind without any client involved."""
