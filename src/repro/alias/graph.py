@@ -82,14 +82,15 @@ class AliasGraph:
         """The fast-path strong update: no node, just a new generation —
         states keyed under older generations become unreachable exactly
         like states keyed on a detached node's uid."""
-        old = self.skip_generations.get(name)
-        self.skip_generations[name] = (old or 0) + 1
+        generations = self.skip_generations
+        old = generations.get(name)
+        generations[name] = (old or 0) + 1
 
         def undo() -> None:
             if old is None:
-                self.skip_generations.pop(name, None)
+                generations.pop(name, None)
             else:
-                self.skip_generations[name] = old
+                generations[name] = old
 
         self.trail.push(undo)
 
@@ -101,6 +102,15 @@ class AliasGraph:
         node = AliasNode()
         self.by_uid[node.uid] = node
         return node
+
+    def drop_edges(self) -> None:
+        """Clear every node's edges, for a graph whose path is done.
+        Edges point both ways (``out`` and ``inc``), so the nodes of a
+        graph dropped with its edges would stay in reference cycles
+        until the cyclic collector ran."""
+        for node in list(self.by_uid.values()):
+            node.out.clear()
+            node.inc.clear()
 
     # -- node lookup ---------------------------------------------------------
 
@@ -114,11 +124,7 @@ class AliasGraph:
         node = self._node_of.get(var.name)
         if node is None:
             node = self._new_node()
-            node.vars.add(var.name)
-            self._node_of[var.name] = node
-            name = var.name
-            self.trail.push(lambda: self._node_of.pop(name, None))
-            self._journal_bind(name)
+            self._join(var.name, node)
         return node
 
     def node_of_name(self, name: str) -> Optional[AliasNode]:
@@ -126,15 +132,31 @@ class AliasGraph:
 
     # -- primitive mutations (all trailed) ------------------------------------
 
+    def _join(self, name: str, node: AliasNode) -> None:
+        """Bind the unbound ``name`` into ``node`` (trailed).  Undo
+        closures capture the graph's dicts, never the graph, so a
+        dropped graph leaves no cycle through its trail."""
+        node_of = self._node_of
+        node.vars.add(name)
+        node_of[name] = node
+
+        def undo() -> None:
+            node.vars.discard(name)
+            node_of.pop(name, None)
+
+        self.trail.push(undo)
+        self._journal_bind(name)
+
     def _move_var(self, name: str, src: AliasNode, dst: AliasNode) -> None:
+        node_of = self._node_of
         src.vars.discard(name)
         dst.vars.add(name)
-        self._node_of[name] = dst
+        node_of[name] = dst
 
         def undo() -> None:
             dst.vars.discard(name)
             src.vars.add(name)
-            self._node_of[name] = src
+            node_of[name] = src
 
         self.trail.push(undo)
         self._journal_bind(name)
@@ -175,11 +197,7 @@ class AliasGraph:
         current = self._node_of.get(var.name)
         fresh = self._new_node()
         if current is None:
-            fresh.vars.add(var.name)
-            self._node_of[var.name] = fresh
-            name = var.name
-            self.trail.push(lambda: self._node_of.pop(name, None))
-            self._journal_bind(name)
+            self._join(var.name, fresh)
         else:
             self._move_var(var.name, current, fresh)
         return fresh
@@ -193,16 +211,7 @@ class AliasGraph:
         if n_dst is n_src:
             return n_src
         if n_dst is None:
-            self._node_of[dst.name] = n_src
-            n_src.vars.add(dst.name)
-            name = dst.name
-
-            def undo() -> None:
-                n_src.vars.discard(name)
-                self._node_of.pop(name, None)
-
-            self.trail.push(undo)
-            self._journal_bind(name)
+            self._join(dst.name, n_src)
         else:
             self._move_var(dst.name, n_dst, n_src)
         return n_src
@@ -238,16 +247,7 @@ class AliasGraph:
             if n_dst is target:
                 return target
             if n_dst is None:
-                target.vars.add(dst.name)
-                self._node_of[dst.name] = target
-                name = dst.name
-
-                def undo() -> None:
-                    target.vars.discard(name)
-                    self._node_of.pop(name, None)
-
-                self.trail.push(undo)
-                self._journal_bind(name)
+                self._join(dst.name, target)
             else:
                 self._move_var(dst.name, n_dst, target)
             return target

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from . import PATA, AnalysisConfig, __version__
+from .gcpolicy import collector_off
 from .lang import compile_program
 
 # ``check`` is the command users wait on, so only what it needs is
@@ -250,6 +252,7 @@ def cmd_list_checkers() -> int:
     return 0
 
 
+@collector_off()
 def cmd_check(args) -> int:
     """``check``: analyze mini-C files with PATA; exit 1 when bugs found."""
     if args.list_checkers:
@@ -612,5 +615,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
+def run() -> NoReturn:
+    """Process entry of ``python -m repro`` and the ``repro-pata``
+    script.  A finished ``check`` leaves no thread, worker or open file
+    behind, so after flushing its output it exits without tearing the
+    heap down (see :mod:`repro.gcpolicy`); other commands exit normally."""
+    argv = sys.argv[1:]
+    code = main(argv)
+    if argv[:1] != ["check"]:
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream.closed:
+            continue  # main() closed stdout after a broken pipe
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 0  # the reader went away: quiet exit, as in main()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -19,6 +19,7 @@ continuation runs once per distinct exit state, bounded by
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..alias import AliasGraph, Trail, apply_instruction
@@ -179,18 +180,21 @@ class PathExplorer:
             if self.config.alias_aware else None
         )
         self.store = StateStore(self.trail)
+        self.trace: List[Tuple] = []
+        self.value_defs: Dict[str, BinOp] = {}
+        self.addr_defs: Dict[str, Tuple[Var, str]] = {}
+        # The context's hooks reach this explorer only weakly: the
+        # explorer owns the context, and a strong link back would leave
+        # every explorer in a reference cycle after its analysis.
+        me = weakref.proxy(self)
         self.ctx = TrackerContext(
             graph=self.graph,
             store=self.store,
             alias_aware=self.config.alias_aware,
-            report_fn=self._report,
-            base_of_fn=lambda name: self.addr_defs.get(name),
-            known_function_fn=lambda name: self.program.lookup(name) is not None,
+            report_fn=lambda bug: me._report(bug),
+            base_of_fn=self.addr_defs.get,
+            known_function_fn=lambda name: program.lookup(name) is not None,
         )
-
-        self.trace: List[Tuple] = []
-        self.value_defs: Dict[str, BinOp] = {}
-        self.addr_defs: Dict[str, Tuple[Var, str]] = {}
         #: load destinations -> the pointer loaded through (for resolving
         #: which struct field a function pointer came from)
         self.load_srcs: Dict[str, str] = {}
@@ -204,8 +208,8 @@ class PathExplorer:
         self.shared_accesses: List[SharedAccess] = []
         self.seen_access_keys: Set[Tuple] = set()
         self.repeated_accesses = 0
-        self.ctx.record_access_fn = self._record_access
-        self.ctx.record_flow_fn = self._record_flow
+        self.ctx.record_access_fn = lambda *access: me._record_access(*access)
+        self.ctx.record_flow_fn = lambda flow: me._record_flow(flow)
         self.paths = 0
         self.steps = 0
         self.budget_exhausted = False

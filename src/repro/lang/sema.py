@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..errors import ParseError
 from . import ast
 from .lower import ALLOCATORS, DEALLOCATORS, LOCK_APIS, MEMSET_APIS
 from .parser import parse
@@ -309,5 +310,11 @@ class _FunctionSema:
 
 def check_source(source: str, filename: str = "<input>",
                  known_functions: Optional[Set[str]] = None) -> List[Diagnostic]:
-    """Parse and lint one mini-C source; returns the diagnostics."""
-    return SemaChecker(parse(source, filename), known_functions).run()
+    """Parse and lint one mini-C source; returns the diagnostics.  Like
+    :func:`~repro.lang.lower.compile_source`, any other outcome is a
+    :class:`~repro.errors.ReproError`; nesting deeper than the stack
+    allows is a :class:`~repro.errors.ParseError`."""
+    try:
+        return SemaChecker(parse(source, filename), known_functions).run()
+    except RecursionError:
+        raise ParseError("nesting too deep", filename) from None

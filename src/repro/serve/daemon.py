@@ -50,6 +50,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..gcpolicy import collector_off
 from .protocol import ProtocolError, decode, encode, job_key, validate_request
 from .session import Session
 from .watch import WatchLoop
@@ -203,14 +204,17 @@ class PataServer:
         """Start (if needed) and block until the scheduler drains after a
         ``shutdown`` request or :meth:`request_shutdown`.  Joins in short
         slices so the main thread keeps receiving signals (the CLI's
-        SIGTERM handler calls :meth:`request_shutdown`)."""
-        if not self._running:
-            self.start()
-        scheduler = next(
-            (t for t in self._threads if t.name == "serve-scheduler"), None
-        )
-        while scheduler is not None and scheduler.is_alive():
-            scheduler.join(0.5)
+        SIGTERM handler calls :meth:`request_shutdown`).  Automatic
+        garbage collection is off meanwhile; the session collects once
+        per fresh analysis instead (see :mod:`repro.gcpolicy`)."""
+        with collector_off():
+            if not self._running:
+                self.start()
+            scheduler = next(
+                (t for t in self._threads if t.name == "serve-scheduler"), None
+            )
+            while scheduler is not None and scheduler.is_alive():
+                scheduler.join(0.5)
 
     def request_shutdown(self) -> None:
         """Thread/signal-safe shutdown trigger: enqueue a synthetic

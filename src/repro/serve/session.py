@@ -40,6 +40,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import AnalysisConfig, AnalysisResult, PATA
+from ..gcpolicy import collect_garbage
 from .store import ResidentStore
 
 Source = Tuple[str, str]
@@ -96,6 +97,9 @@ class Session:
         memo = self._memo.get(key)
         if memo is not None:
             return self._replay(key, memo)
+        # The previous request's program is garbage now, and the live
+        # heap is at its smallest: the cheapest point to collect.
+        collect_garbage()
         hits0, misses0, corrupt0 = (
             self.store.hits, self.store.misses, self.store.corrupt,
         )

@@ -416,9 +416,10 @@ def translate_trace(
 ) -> Translation:
     """Translate one recorded path into SMT-lite constraints."""
     if alias_aware:
-        return PathTranslator(partition=partition, skip_names=skip_names).translate(
-            trace, extra_requirement
-        )
+        translator = PathTranslator(partition=partition, skip_names=skip_names)
+        result = translator.translate(trace, extra_requirement)
+        translator.graph.drop_edges()
+        return result
     return NaPathTranslator().translate(trace, extra_requirement)
 
 
@@ -503,6 +504,8 @@ def translate_trace_pair(
                 continue
             node_a = first.graph.node_of_name(name)
             bridges.append(Atom("eq", first._sym(node_a), second._sym(node_b)))
+        first.graph.drop_edges()
+        second.graph.drop_edges()
     else:
         first = NaPathTranslator()
         result_a = first.translate(trace_a)

@@ -5,6 +5,8 @@ escape it as a bare ``ValueError``, ``KeyError``, ``AttributeError``,
 ... .  Hypothesis feeds it arbitrary text and soups of mini-C tokens and
 keywords, both loose and inside a function body (where lowering runs),
 and every outcome must be a module or a :class:`~repro.errors.ReproError`.
+The lint pass (``repro lint``) sees the same inputs, and must return its
+diagnostics or raise ``ReproError``.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import LexError, ParseError, ReproError
 from repro.lang import compile_source
 from repro.lang.lexer import KEYWORDS, PUNCT
+from repro.lang.sema import check_source
 
 #: inputs that once escaped as a bare ValueError from ``int()``
 MALFORMED_NUMBERS = ["int x = 0x;", "int f(void) { return 0xUL; }", "int x = ²;"]
@@ -38,8 +41,13 @@ _PRELUDE = "struct s { int v; struct s *next; };\ntypedef int t;\nint g;\n"
 
 
 def compiles_or_raises_repro_error(source: str) -> None:
+    """Compile ``source``, then lint it; both may only raise ReproError."""
     try:
         compile_source(source, "fuzz.c")
+    except ReproError:
+        pass
+    try:
+        assert isinstance(check_source(source, "fuzz.c"), list)
     except ReproError:
         pass
 
@@ -76,3 +84,8 @@ def test_malformed_number_is_a_lex_error(source):
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nesting too deep"):
         compile_source(DEEP_NESTING)
+
+
+def test_deep_nesting_is_a_lint_parse_error():
+    with pytest.raises(ParseError, match="nesting too deep"):
+        check_source(DEEP_NESTING)
