@@ -11,9 +11,12 @@ frees almost nothing.  The policy, for the two process shapes:
   once ``check`` returns, so the interpreter never tears the heap down
   either.
 * **The daemon** serves under :func:`collector_off` and calls
-  :func:`collect_garbage` once per fresh analysis, before it compiles:
-  the previous request's program is garbage then and the live heap is
-  at its smallest.  Replays allocate almost nothing and never collect.
+  :func:`collect_garbage` once per fresh analysis, before it compiles.
+  Its program is resident: the session keeps the last program's modules
+  live and releases (breaks the cycles of) each module it drops, so no
+  program dies as cyclic garbage.  A young-generation collection then
+  costs what the previous request allocated, not the resident heap.
+  Replays allocate almost nothing and never collect.
 
 The context manager restores the prior state, so in-process callers
 (tests, embedding code) keep their collector.
@@ -40,7 +43,8 @@ def collector_off() -> Iterator[None]:
 
 
 def collect_garbage() -> None:
-    """Collect now if automatic collection is off (a daemon between
-    requests); with it on, CPython's own schedule already runs."""
+    """Collect the young generation now if automatic collection is off (a
+    daemon between requests); with it on, CPython's own schedule already
+    runs."""
     if not gc.isenabled():
-        gc.collect()
+        gc.collect(0)

@@ -12,7 +12,8 @@ The subsystem splits into four modules:
   rehydration across process boundaries (uids are process-local);
 * :mod:`.engine` — orchestration: :class:`IncrementalContext` drives
   plan/load/commit inside :meth:`repro.core.pata.PATA.analyze`;
-  :func:`compile_with_cache` is the frontend (layer-0) cache.
+  :func:`compile_with_cache` is the frontend (layer-0) cache, and
+  :class:`LiveModule` an entry of a resident session's live-module table.
 
 Cache layers (see :mod:`.engine` for the key table): compiled modules,
 P1 collector facts, P1.5 relevance masks, per-entry P2 outcomes.
@@ -25,6 +26,7 @@ from .engine import (
     CachedRelevance,
     IncrementalContext,
     IncrementalPlan,
+    LiveModule,
     compile_with_cache,
     open_incremental,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "CoordIndex",
     "IncrementalContext",
     "IncrementalPlan",
+    "LiveModule",
     "StaleEntry",
     "TransitiveKeys",
     "compile_with_cache",

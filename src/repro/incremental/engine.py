@@ -563,12 +563,60 @@ def open_incremental(program: Program, config, checker_spec: Optional[str],
 # -- layer 0: frontend module cache ------------------------------------------
 
 
-def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
+class LiveModule:
+    """One compiled module held live across programs (a resident
+    session's table): its store key, the module, its compile-time
+    function fingerprints, the names its own registrations marked as
+    interfaces, from before any cross-module marking, and the
+    fingerprints of its defined functions marked in the last program it
+    was linked into."""
+
+    __slots__ = ("key", "module", "fingerprints", "interface", "marked")
+
+    def __init__(self, key: Optional[str], module, fingerprints: Dict[str, str]):
+        self.key = key
+        self.module = module
+        self.fingerprints = fingerprints
+        self.interface = frozenset(
+            name for name, func in module.functions.items() if func.is_interface
+        )
+        self.marked: Dict[str, str] = {}
+
+    def reset(self) -> None:
+        """Undo the per-program state of the last program the module was
+        linked into: interface flags from cross-module marking, and the
+        program itself (uids are renumbered by every assembly)."""
+        for name, func in self.module.functions.items():
+            func.is_interface = name in self.interface
+        self.module._owners = []
+
+    def retire(self, store: Optional[CacheStore]) -> None:
+        """Leave the table: stage the module into ``store``, per-program
+        state reset, so a later request can bring it back, then release
+        it."""
+        if store is not None:
+            self.reset()
+            store.put(self.key, {"module": self.module,
+                                 "fingerprints": self.fingerprints})
+        self.module.release()
+
+
+def compile_with_cache(sources, store: Optional[CacheStore],
+                       live: Optional[Dict[str, LiveModule]] = None) -> Program:
     """Compile ``(filename, source)`` pairs, reusing cached modules for
     unchanged files.  Every uid in the assembled program is renumbered
     from the live process counters afterwards (cached modules carry a
     dead process's uids; fresh ones are renumbered harmlessly).  The
     caller owns the store's commit.
+
+    ``live`` is a resident session's table of live modules by module key,
+    holding the previous program's modules: an unchanged file reuses its
+    module as is, with no unpickling, and only new or changed files are
+    read from the store or compiled.  On return the table holds exactly
+    this program's modules; the ones that left it are staged into the
+    store, where a later request finds them, and released
+    (:meth:`LiveModule.retire`).  A module is pickled only when it
+    leaves, so a session's first request pickles none.
 
     Each payload also carries the module's function fingerprints so a
     warm :class:`TransitiveKeys` need not re-print unchanged functions.
@@ -577,35 +625,65 @@ def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
     soundly cache it.  The marked few are re-printed after assembly."""
     from ..cfg import mark_interface_functions
     from ..ir.printer import canonical_function_print, canonical_module_environment
-    from ..lang import compile_source
-    from .fingerprint import module_fingerprints
 
     program = Program()
     fingerprints: Dict[str, str] = {}
+    linked: Dict[str, LiveModule] = {}
     for filename, source in sources:
-        key = _module_key(filename, source) if store is not None else None
-        payload = store.get(key) if store is not None else None
-        module = payload.get("module") if isinstance(payload, dict) else payload
-        fps = payload.get("fingerprints") if isinstance(payload, dict) else None
-        if module is None or not hasattr(module, "functions"):
-            module = compile_source(source, filename)
-            fps = None
-        if not isinstance(fps, dict):
-            fps = module_fingerprints(module)
-        if store is not None:
-            store.put(key, {"module": module, "fingerprints": fps})
-        program.add_module(module)
-        fingerprints.update(fps)
+        key = (_module_key(filename, source)
+               if store is not None or live is not None else None)
+        # A file listed twice links two copies, as a one-shot compile does.
+        slot, copies = key, 1
+        while slot in linked:
+            copies += 1
+            slot = f"{key}#{copies}"
+        entry = live.get(slot) if live is not None else None
+        if entry is not None:
+            entry.reset()
+        else:
+            entry = _load_module(filename, source, key,
+                                 store, stage=live is None)
+        linked[slot] = entry
+        program.add_module(entry.module)
+        fingerprints.update(entry.fingerprints)
+    if live is not None:
+        for slot, entry in live.items():
+            if slot not in linked:
+                entry.retire(store)
+        live.clear()
+        live.update(linked)
     renumber_program(program)
     mark_interface_functions(program)
-    for module in program.modules:
-        marked = [func for func in module.functions.values()
+    for entry in linked.values():
+        functions = entry.module.functions
+        marked = [name for name, func in functions.items()
                   if func.is_interface and not func.is_declaration]
-        if marked:
-            env = canonical_module_environment(module)
-            for func in marked:
-                fingerprints[func.name] = _sha(
-                    "fn", env, canonical_function_print(func)
-                )
+        if marked != list(entry.marked):
+            env = canonical_module_environment(entry.module)
+            entry.marked = {
+                name: _sha("fn", env, canonical_function_print(functions[name]))
+                for name in marked
+            }
+        fingerprints.update(entry.marked)
     program._pata_fingerprints = fingerprints
     return program
+
+
+def _load_module(filename: str, source: str, key: Optional[str],
+                 store: Optional[CacheStore], stage: bool) -> LiveModule:
+    """The module of one file from the store, or freshly compiled and,
+    with ``stage``, staged into it."""
+    from ..lang import compile_source
+    from .fingerprint import module_fingerprints
+
+    payload = store.get(key) if store is not None else None
+    module = payload.get("module") if isinstance(payload, dict) else payload
+    fps = payload.get("fingerprints") if isinstance(payload, dict) else None
+    if module is None or not hasattr(module, "functions"):
+        module = compile_source(source, filename)
+        fps = None
+    if not isinstance(fps, dict):
+        fps = module_fingerprints(module)
+    if stage and store is not None:
+        store.put(key, {"module": module, "fingerprints": fps})
+    return LiveModule(key, module, fps)

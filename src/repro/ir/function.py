@@ -177,6 +177,26 @@ class Module:
     def defined_functions(self) -> Iterator[Function]:
         return (f for f in self.functions.values() if not f.is_declaration)
 
+    def release(self) -> None:
+        """Break every reference cycle the module owns, so reference
+        counting frees it without the cyclic collector: instruction,
+        terminator and block ``parent`` pointers, CFG edges, each
+        function's block list, self-referential struct types and the
+        programs it was linked into.  The module is unusable afterwards."""
+        for func in self.functions.values():
+            for block in func.blocks:
+                for inst in block.instructions:
+                    inst.parent = None
+                if block.terminator is not None:
+                    block.terminator.parent = None
+                    block.terminator = None
+                block.parent = None
+            func.blocks = []
+            func._block_names = {}
+        for struct in self.structs.values():
+            struct.fields = {}
+        self._owners = []
+
     def __repr__(self) -> str:
         return f"<Module {self.name} ({len(self.functions)} functions)>"
 

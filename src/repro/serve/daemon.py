@@ -59,7 +59,12 @@ log = logging.getLogger("repro.serve")
 
 
 class RequestTimeout(Exception):
-    """A request exceeded the server's per-request wall-clock budget."""
+    """A request exceeded the server's per-request wall-clock budget;
+    ``thread`` is the analysis thread, still running."""
+
+    def __init__(self, thread: Optional[threading.Thread] = None):
+        super().__init__()
+        self.thread = thread
 
 
 class _Connection:
@@ -159,6 +164,8 @@ class PataServer:
         self.requests_failed = 0
         self.sessions_reset = 0
         self.watch_runs = 0
+        # (analysis thread or None, replaced session) awaiting release
+        self._abandoned: List[Tuple[Optional[threading.Thread], Session]] = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -367,13 +374,15 @@ class PataServer:
         paths = self._paths_of(request.payload)
         overlay = request.payload.get("overlay")
         dequeued = time.monotonic()
+        self._release_abandoned()
         try:
             result = self._run_with_timeout(
                 lambda: self.session.analyze_paths(paths, overlay)
             )
-        except RequestTimeout:
+        except RequestTimeout as exc:
             self.requests_timed_out += 1
-            self._degrade(f"request timed out after {self.request_timeout}s")
+            self._degrade(f"request timed out after {self.request_timeout}s",
+                          running=exc.thread)
             self._respond_error(group, "timeout", timed_out=True)
             return
         except (ReproError, OSError, ValueError) as exc:
@@ -478,19 +487,35 @@ class PataServer:
         thread = threading.Thread(target=target, name="serve-analysis", daemon=True)
         thread.start()
         if not done.wait(timeout):
-            raise RequestTimeout()
+            raise RequestTimeout(thread)
         if "error" in box:
             raise box["error"]
         return box["result"]
 
-    def _degrade(self, reason: str) -> None:
+    def _degrade(self, reason: str,
+                 running: Optional[threading.Thread] = None) -> None:
         """Replace the session with a fresh context: the abandoned one
-        (possibly still being mutated by a timed-out analysis thread)
-        is never read again."""
+        (possibly still being mutated by the timed-out analysis thread
+        ``running``) is never read again, and is released once that
+        thread is done."""
         log.warning("serve: %s; starting a fresh session (resident cache "
                     "dropped, results unaffected)", reason)
+        self._abandoned.append((running, self.session))
         self.session = self._make_session()
         self.sessions_reset += 1
+        self._release_abandoned()
+
+    def _release_abandoned(self) -> None:
+        """Release the live modules of replaced sessions no analysis
+        thread runs on any more (their cycles would outlive them: the
+        daemon only collects the young generation)."""
+        running = []
+        for thread, session in self._abandoned:
+            if thread is not None and thread.is_alive():
+                running.append((thread, session))
+            else:
+                session.reset()
+        self._abandoned = running
 
     # -- status ----------------------------------------------------------------
 

@@ -12,16 +12,27 @@ are re-explored.  Reports are byte-identical to a one-shot
 ``PATA().analyze`` over the same sources and config — residency is an
 optimization, never a precision or soundness trade.
 
+The compiled program itself is resident: the session keeps the last
+request's modules live (:attr:`Session.live_modules`), and the next
+request links unchanged files' modules as they are, after resetting
+their per-program state.  Only new or changed files are unpickled from
+the store or compiled, and the modules a request drops are staged into
+the store and released (their reference cycles broken), so no program
+is ever left for the cyclic collector.
+
 Residency has two tiers.  The *cache* tier above re-resolves the plan
 and replays per-entry outcomes out of the resident store.  On top of it
 sits the *replay memo*: a bounded, content-addressed map from the exact
-request fingerprint (ordered (filename, source-bytes) list — config and
-checkers are fixed per session) to the finished
+request fingerprint (ordered (filename, source digest) list — config
+and checkers are fixed per session) to the finished
 :class:`~repro.core.AnalysisResult`.  An identical repeated request —
 the common daemon steady state: the same watch job, the same IDE query
 — skips even deserialization and report re-validation and returns the
 prior result, whose bytes were already proven equal to a one-shot run.
 Any changed byte misses the memo and takes the cache tier.
+:meth:`Session.analyze_paths` re-reads a root file only when its stat
+signature changed or it may have been rewritten since the last read, so
+a replay of on-disk files costs a ``stat`` per file.
 
 Two session-level stat adjustments make per-request numbers honest:
 the store's hit/miss counters are cumulative across the session's
@@ -35,13 +46,19 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import os
 import pathlib
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..core import AnalysisConfig, AnalysisResult, PATA
 from ..gcpolicy import collect_garbage
 from .store import ResidentStore
+
+if TYPE_CHECKING:
+    from ..incremental import LiveModule
 
 Source = Tuple[str, str]
 
@@ -50,6 +67,27 @@ Source = Tuple[str, str]
 #: set, a few subsets, the watch job); eight bounds memory while keeping
 #: all of them resident.
 MEMO_LIMIT = 8
+
+#: how far a file's mtime may trail the moment it was written: a
+#: scheduler tick on Linux's coarse file clock, two seconds on FAT.  A
+#: file whose mtime is not older than its cached read by this much may
+#: have been rewritten since within the same timestamp (git's racy-clean
+#: case), so it is read again.
+RACY_NS = 2_000_000_000
+
+
+class _DiskFile(NamedTuple):
+    """One root file as last read: the stat signature it was read under,
+    the moment of the read, its text and the text's digest."""
+
+    signature: Tuple[int, int, int, int]
+    read_ns: int
+    text: str
+    digest: str
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Session:
@@ -76,10 +114,15 @@ class Session:
         self.requests_served = 0
         self.replays_served = 0
         self.created = time.monotonic()
+        #: module key -> the last program's live modules (see
+        #: :func:`~repro.incremental.compile_with_cache`)
+        self.live_modules: Dict[str, LiveModule] = {}
         # request fingerprint -> AnalysisResult, FIFO-bounded
         self._memo: "collections.OrderedDict[str, AnalysisResult]" = (
             collections.OrderedDict()
         )
+        # path -> the file as analyze_paths last read it
+        self._files: Dict[str, _DiskFile] = {}
 
     # -- the one entry point --------------------------------------------------
 
@@ -97,13 +140,14 @@ class Session:
         memo = self._memo.get(key)
         if memo is not None:
             return self._replay(key, memo)
-        # The previous request's program is garbage now, and the live
-        # heap is at its smallest: the cheapest point to collect.
+        # Programs die by reference counting (the live table releases the
+        # modules it drops), so a young-generation collection takes what
+        # cyclic garbage the previous request left.
         collect_garbage()
         hits0, misses0, corrupt0 = (
             self.store.hits, self.store.misses, self.store.corrupt,
         )
-        program = compile_with_cache(sources, self.store)
+        program = compile_with_cache(sources, self.store, self.live_modules)
         self.store.commit()
         pata = PATA(
             config=self.config, checker_spec=self.checker_spec, store=self.store
@@ -126,17 +170,19 @@ class Session:
 
     # -- the replay memo ------------------------------------------------------
 
-    @staticmethod
-    def _request_key(sources: Sequence[Source]) -> str:
+    def _request_key(self, sources: Sequence[Source]) -> str:
         """Content fingerprint of one request: the exact (name, bytes)
-        list, in order.  Config and checker spec are fixed per session,
-        so they need no hashing."""
+        list, in order, folded through per-file digests (a file
+        :meth:`analyze_paths` read unchanged keeps its digest).  Config
+        and checker spec are fixed per session, so they need no
+        hashing."""
         h = hashlib.sha256()
         for name, text in sources:
+            known = self._files.get(name)
             h.update(name.encode("utf-8", "surrogatepass"))
             h.update(b"\x00")
-            h.update(text.encode("utf-8", "surrogatepass"))
-            h.update(b"\x00")
+            h.update((known.digest if known is not None and known.text is text
+                      else _digest(text)).encode())
         return h.hexdigest()
 
     def _replay(self, key: str, memo: AnalysisResult) -> AnalysisResult:
@@ -180,7 +226,7 @@ class Session:
             if name in overlay:
                 sources.append((name, overlay.pop(name)))
             else:
-                sources.append((name, pathlib.Path(name).read_text()))
+                sources.append((name, self._read(name)))
         # Overlay entries naming files outside the path list append, in
         # sorted order for determinism.
         for name in sorted(overlay):
@@ -188,15 +234,39 @@ class Session:
                 sources.append((name, overlay[name]))
         return self.analyze(sources)
 
+    def _read(self, name: str) -> str:
+        """The text of on-disk file ``name``, re-read only when its stat
+        signature changed since the last read or it may have been
+        rewritten within one timestamp of that read."""
+        try:
+            st = os.stat(name)
+        except OSError:
+            self._files.pop(name, None)
+            raise
+        signature = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        known = self._files.get(name)
+        if (known is not None and known.signature == signature
+                and st.st_mtime_ns < known.read_ns - RACY_NS):
+            return known.text
+        read_ns = time.time_ns()
+        text = pathlib.Path(name).read_text()
+        self._files[name] = _DiskFile(signature, read_ns, text, _digest(text))
+        return text
+
     # -- lifecycle ------------------------------------------------------------
 
     def reset(self) -> None:
         """Swap in a fresh, empty resident store — the graceful
         degradation path after a request timed out or crashed midway
         (a half-mutated store must never serve the next request).
-        Results stay correct either way; only warmth is lost."""
+        Releases the live modules, so the session shares no module with
+        its past.  Results stay correct either way; only warmth is lost."""
+        for entry in self.live_modules.values():
+            entry.module.release()
+        self.live_modules.clear()
         self.store = ResidentStore()
         self._memo.clear()
+        self._files.clear()
 
     def uptime_seconds(self) -> float:
         return time.monotonic() - self.created

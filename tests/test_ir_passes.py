@@ -149,3 +149,24 @@ def test_corpus_analysis_agrees_with_and_without_optimization():
     plain_bugs = sorted((r.kind.short, r.sink_file, r.sink_line) for r in plain.reports)
     optimized_bugs = sorted((r.kind.short, r.sink_file, r.sink_line) for r in optimized.reports)
     assert plain_bugs == optimized_bugs
+
+
+def test_optimization_is_idempotent_on_the_linux_tree():
+    """A resident session links modules an earlier request optimized in
+    place and optimizes the whole program again, so a second pass must
+    change nothing: the same canonical IR and, renumbered, the same uids."""
+    from repro.corpus import PROFILES_BY_NAME, generate
+    from repro.incremental import renumber_program
+    from repro.ir import optimize_program
+    from repro.ir.printer import canonical_program_print, format_module
+
+    program = compile_program(generate(PROFILES_BY_NAME["linux"]).compiled_sources())
+
+    def optimized_print():
+        optimize_program(program)
+        renumber_program(program)
+        return (canonical_program_print(program),
+                [format_module(module) for module in program.modules],
+                [inst.uid for func in program.functions() for inst in func.instructions()])
+
+    assert optimized_print() == optimized_print()

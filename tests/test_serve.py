@@ -4,17 +4,22 @@ watch mode, and byte-identity between daemon responses and one-shot CLI
 runs across alias tiers and worker counts."""
 
 import json
+import os
+import pathlib
 import socket
 import threading
 import time
+import types
 
 import pytest
 
 from repro import PATA, AnalysisConfig
 from repro.cli import check_output_text, main
 from repro.core.report import AnalysisStats
+from repro.corpus import PROFILES_BY_NAME, generate
 from repro.lang import compile_program
 from repro.serve import PataServer, ResidentStore, ServeClient, Session, WatchLoop
+from repro.serve import session as session_module
 from repro.serve.protocol import (
     ProtocolError, decode, encode, job_key, validate_request,
 )
@@ -63,6 +68,43 @@ int dev_read(void) {
     if (!b)
         return -11;
     return b->len;
+}
+"""
+
+# ``dev_probe`` dereferences ``d`` only on the NULL branch; its one caller
+# rules that branch out, so the bug shows only while ``dev_probe`` is an
+# interface entry, i.e. while another module registers it.
+DEV = """
+struct dev { int v; };
+
+int dev_probe(struct dev *d) {
+    if (!d) {
+        return d->v;
+    }
+    return 0;
+}
+
+int dev_attach(struct dev *d) {
+    if (!d)
+        return -1;
+    return dev_probe(d);
+}
+"""
+
+OPS = """
+int ops_init(int a) {
+    return a;
+}
+"""
+
+OPS_REGISTERS_PROBE = """
+struct dev;
+int dev_probe(struct dev *d);
+struct ops { int (*probe)(struct dev *d); };
+static struct ops dev_ops = { .probe = dev_probe };
+
+int ops_init(int a) {
+    return a;
 }
 """
 
@@ -219,6 +261,196 @@ class TestSessionReuse:
         assert result.stats.entries_reanalyzed > 0  # cold again
 
 
+def live_module(session, filename):
+    """The session's live module compiled from ``filename``."""
+    (module,) = [entry.module for entry in session.live_modules.values()
+                 if entry.module.name == filename]
+    return module
+
+
+def live_module_ids(session):
+    return {id(entry.module) for entry in session.live_modules.values()}
+
+
+class TestLiveModules:
+    """The session keeps the last program's modules live: unchanged files
+    reuse them, with their per-program state reset, and the ones a
+    request drops are released."""
+
+    def test_cross_module_registration_added_then_removed(self):
+        session = Session()
+        states = [OPS, OPS_REGISTERS_PROBE, OPS.replace("return a;", "return a + 1;")]
+        outputs, dev_modules = [], []
+        for ops in states:
+            sources = [("ops.c", ops), ("dev.c", DEV)]
+            result = session.analyze(sources)
+            assert not result.stats.request_replayed
+            outputs.append(check_output_text(result))
+            assert outputs[-1] == one_shot_output(sources)
+            dev_modules.append(live_module(session, "dev.c"))
+            registered = ops is OPS_REGISTERS_PROBE
+            assert dev_modules[-1].functions["dev_probe"].is_interface is registered
+        assert all(module is dev_modules[0] for module in dev_modules)
+        assert "entry function:    dev_probe" in outputs[1]
+        assert "dev_probe" not in outputs[2]
+
+    def test_reverted_module_comes_back_as_compiled(self):
+        """A module that leaves the table while another module's
+        registration marks its function is staged with its own flags:
+        reverted into a program without that registration, the function
+        is no entry."""
+        session = Session()
+        dev_edited = DEV.replace("return 0;", "return 1;")
+        for ops, dev in ((OPS_REGISTERS_PROBE, DEV), (OPS, dev_edited), (OPS, DEV)):
+            sources = [("ops.c", ops), ("dev.c", dev)]
+            result = session.analyze(sources)
+            assert not result.stats.request_replayed
+            assert check_output_text(result) == one_shot_output(sources)
+        assert not live_module(session, "dev.c").functions["dev_probe"].is_interface
+
+    def test_edit_revert_edit(self, monkeypatch):
+        """A one-entry memo sends every revert through the cache tier:
+        the reverted module comes back from the store, the others stay
+        the same live objects."""
+        monkeypatch.setattr(session_module, "MEMO_LIMIT", 1)
+        base = [("buggy.c", BUGGY), ("clean.c", CLEAN), ("race.c", HEAP_RACE)]
+        edit_1 = [*base[:1], ("clean.c", CLEAN.replace("a + 1", "a + 2")), *base[2:]]
+        edit_2 = [*base[:1], ("clean.c", CLEAN.replace("a + 1", "a + 3")), *base[2:]]
+        session = Session(checker_spec="all")
+        buggy_modules, clean_modules = [], []
+        for sources in (base, edit_1, base, edit_2, edit_1):
+            result = session.analyze(sources)
+            assert not result.stats.request_replayed
+            assert check_output_text(result) == one_shot_output(sources, checker_spec="all")
+            buggy_modules.append(live_module(session, "buggy.c"))
+            clean_modules.append(live_module(session, "clean.c"))
+        assert all(module is buggy_modules[0] for module in buggy_modules)
+        assert len({id(module) for module in clean_modules}) == len(clean_modules)
+        # a reused module keeps no earlier program alive
+        assert all(len(entry.module._owners) == 1
+                   for entry in session.live_modules.values())
+
+    def test_optimize_ir_session_over_edits(self, monkeypatch):
+        """Reused modules were optimized in place by an earlier request;
+        they must not be optimized again."""
+        monkeypatch.setattr(session_module, "MEMO_LIMIT", 1)
+        tree = generate(PROFILES_BY_NAME["linux"].scaled(0.1)).compiled_sources()
+        path, root = tree[0]
+
+        def edit(k):
+            return [(path, root + f"\nint opt_edit_{k}(int a) {{ return {k} * 2 + a; }}\n"),
+                    *tree[1:]]
+
+        session = Session(config=AnalysisConfig(optimize_ir=True), checker_spec="all")
+        for sources in (tree, edit(1), edit(2), tree, edit(1)):
+            result = session.analyze(sources)
+            assert not result.stats.request_replayed
+            assert check_output_text(result) == one_shot_output(
+                sources, checker_spec="all", optimize_ir=True)
+
+    def test_file_listed_twice_links_two_copies(self, monkeypatch):
+        """As a one-shot compile does: the second listing is a module of
+        its own, not the first one linked twice.  (No P1.5 pruning: its
+        cached masks address blocks by function name, which two
+        definitions of one name defeat.)"""
+        monkeypatch.setattr(session_module, "MEMO_LIMIT", 1)
+        session = Session(config=AnalysisConfig(prune=False))
+        request = [("buggy.c", BUGGY), ("clean.c", CLEAN), ("buggy.c", BUGGY)]
+        for sources in (request, request[:2], request):
+            result = session.analyze(sources)
+            assert not result.stats.request_replayed
+            assert check_output_text(result) == one_shot_output(sources, prune=False)
+            modules = [entry.module for entry in session.live_modules.values()]
+            assert len({id(module) for module in modules}) == len(sources)
+
+    def test_reset_shares_no_module(self):
+        session = Session()
+        sources = [("buggy.c", BUGGY), ("clean.c", CLEAN)]
+        session.analyze(sources)
+        before = [entry.module for entry in session.live_modules.values()]
+        session.reset()
+        assert session.live_modules == {}
+        # released: nothing of the old modules' CFGs is left
+        assert all(not func.blocks for module in before
+                   for func in module.functions.values())
+        result = session.analyze(sources)
+        assert check_output_text(result) == one_shot_output(sources)
+        assert not live_module_ids(session) & {id(module) for module in before}
+
+
+class TestDiskReads:
+    """``analyze_paths`` re-reads a root file only when its stat
+    signature changed or it may have been rewritten within one timestamp
+    of the last read."""
+
+    OLD_NS = 1_000_000_000_000_000_000  # 2001: outside any racy window
+
+    def test_edit_is_seen_at_equal_size(self, tmp_path):
+        path = tmp_path / "f.c"
+        same_size = BUGGY.replace("if (!p)", "if ( p)")
+        assert len(same_size) == len(BUGGY)
+        session = Session()
+        outputs = []
+        for text in (BUGGY, same_size, BUGGY):
+            path.write_text(text)
+            # One mtime for every version: only the inode change time
+            # tells them apart.
+            os.utime(path, ns=(self.OLD_NS, self.OLD_NS))
+            result = session.analyze_paths([str(path)])
+            outputs.append(check_output_text(result))
+            assert outputs[-1] == one_shot_output([(str(path), text)])
+        assert outputs[0] != outputs[1]
+
+    def test_rereads_only_inside_the_racy_window(self, tmp_path, monkeypatch):
+        """With the stat signature frozen, a rewrite is seen only while
+        the mtime is not older than the read."""
+        path = tmp_path / "f.c"
+        real_stat = os.stat
+        frozen = {}
+
+        def stat(name, *args, **kwargs):
+            result = real_stat(name, *args, **kwargs)
+            if str(name) != str(path):
+                return result
+            return types.SimpleNamespace(st_ino=1, st_size=len(BUGGY),
+                                         st_mtime_ns=frozen["mtime"], st_ctime_ns=1)
+
+        monkeypatch.setattr(os, "stat", stat)
+        same_size = BUGGY.replace("if (!p)", "if ( p)")
+        for mtime, rewrite_seen in ((time.time_ns(), True), (self.OLD_NS, False)):
+            frozen["mtime"] = mtime
+            session = Session()
+            path.write_text(BUGGY)
+            first = check_output_text(session.analyze_paths([str(path)]))
+            path.write_text(same_size)
+            second = check_output_text(session.analyze_paths([str(path)]))
+            assert first == one_shot_output([(str(path), BUGGY)])
+            expected = same_size if rewrite_seen else BUGGY
+            assert second == one_shot_output([(str(path), expected)])
+
+    def test_deleted_root_raises_as_before(self, tmp_path, buggy_file):
+        session = Session()
+        session.analyze_paths([str(buggy_file)])
+        buggy_file.unlink()
+        with pytest.raises(FileNotFoundError) as before:
+            pathlib.Path(buggy_file).read_text()
+        with pytest.raises(FileNotFoundError) as raised:
+            session.analyze_paths([str(buggy_file)])
+        assert str(raised.value) == str(before.value)
+
+    def test_overlay_bypasses_the_cached_read(self, tmp_path, buggy_file, clean_file):
+        session = Session()
+        paths = [str(buggy_file), str(clean_file)]
+        disk = check_output_text(session.analyze_paths(paths))
+        overlay = {str(buggy_file): CLEAN.replace("int g", "int h")}
+        with_overlay = session.analyze_paths(paths, overlay=overlay)
+        assert check_output_text(with_overlay) == one_shot_output(
+            [(str(buggy_file), overlay[str(buggy_file)]), (str(clean_file), CLEAN)])
+        again = session.analyze_paths(paths)
+        assert again.stats.request_replayed
+        assert check_output_text(again) == disk
+
+
 # -- resident store ----------------------------------------------------------
 
 
@@ -266,6 +498,21 @@ class TestResidentStore:
         assert occ["objects"] == 1
         assert occ["staged"] == 0
         assert occ["bytes"] > 0
+
+    def test_large_blobs_are_compressed(self):
+        import pickle
+
+        from repro.serve.store import COMPRESS_MIN
+
+        store = ResidentStore()
+        large = {f"fn_{i}": (i, "entry") for i in range(2000)}
+        small = ("fn_0", 0)
+        assert len(pickle.dumps(large)) >= COMPRESS_MIN > len(pickle.dumps(small))
+        store.put("large", large)
+        store.put("small", small)
+        store.commit()
+        assert store.get("large") == large and store.get("small") == small
+        assert store.occupancy()["bytes"] < len(pickle.dumps(large)) // 2
 
 
 # -- protocol ----------------------------------------------------------------
@@ -552,20 +799,24 @@ class TestDaemon:
         server = start_server(tmp_path, [buggy_file])
         try:
             expected = submit(server, {"op": "check_module"})["output"]
+            crashed = server.session
+            old_modules = live_module_ids(crashed)
 
             def explode(paths, overlay=None):
                 raise RuntimeError("resident state corrupted")
 
-            server.session.analyze_paths = explode
+            crashed.analyze_paths = explode
             response = submit(server, {"op": "check_module"})
             assert not response["ok"]
             assert "RuntimeError" in response["error"]
             assert server.sessions_reset == 1
+            assert crashed.live_modules == {}  # released
             # The replacement session answers correctly (cold, but right).
             recovered = submit(server, {"op": "check_module"})
             assert recovered["ok"]
             assert recovered["output"] == expected
             assert recovered["serve"]["entries_reanalyzed"] > 0
+            assert old_modules and not live_module_ids(server.session) & old_modules
         finally:
             drain(server)
 
@@ -574,6 +825,8 @@ class TestDaemon:
         try:
             release = threading.Event()
             stuck = server.session
+            stuck.analyze_paths([str(buggy_file)])  # give it live modules
+            old_modules = live_module_ids(stuck)
 
             def stall(paths, overlay=None):
                 release.wait(30)
@@ -581,6 +834,7 @@ class TestDaemon:
 
             stuck.analyze_paths = stall
             response = submit(server, {"op": "check_module"})
+            assert stuck.live_modules  # its analysis thread still runs
             release.set()  # let the abandoned thread finish and exit
             assert not response["ok"]
             assert response["timed_out"] is True
@@ -589,6 +843,14 @@ class TestDaemon:
             assert server.session is not stuck
             recovered = submit(server, {"op": "check_module"})
             assert recovered["ok"] and recovered["exit_code"] == 1
+            assert old_modules and not live_module_ids(server.session) & old_modules
+            # Once the abandoned thread is done, the next request
+            # releases the stuck session's modules.
+            for thread in threading.enumerate():
+                if thread.name == "serve-analysis":
+                    thread.join(30)
+            assert submit(server, {"op": "check_module"})["ok"]
+            assert stuck.live_modules == {}
         finally:
             drain(server)
 
